@@ -8,8 +8,9 @@ Binary vectors are stored two ways:
   Hamming distances via XOR + popcount (``numpy.bitwise_count``), the
   equivalent of the CPU popcount the paper relies on.
 
-Per-partition distances inside the chain check operate on small Python
-integers (one code per part) and use ``int.bit_count``.
+Per-partition distances (the index's code distances and the chain check's
+box matrix) XOR integer part codes and count bits with
+``numpy.bitwise_count`` as well.
 """
 
 from __future__ import annotations

@@ -52,27 +52,35 @@ def allocate_thresholds(
         A list of per-partition thresholds ``t_i >= -1`` summing to
         ``max(tau - m + 1, -m)``.
     """
-    m = index.m
+    histograms = index.distance_histograms(index.query_distances(query_codes))
+    return greedy_thresholds(histograms, tau)
+
+
+def greedy_thresholds(histograms: np.ndarray, tau: int) -> list[int]:
+    """The greedy allocation over precomputed ``(m, bins)`` distance histograms.
+
+    Row ``i`` counts the data objects at each distance from the query on
+    partition ``i`` (:meth:`PartitionIndex.distance_histograms`).
+    """
+    m = histograms.shape[0]
     budget = tau - m + 1
     thresholds = [-1] * m
     if budget <= -m:
         return thresholds
-    histograms = [
-        index.distance_histogram(part, int(query_codes[part])) for part in range(m)
-    ]
+    rows = histograms.tolist()
     # Each heap entry is (marginal cost of raising t_part to next_value, part,
     # next_value).  Raising a threshold from t to t+1 admits exactly the
     # objects at distance t+1.
     heap: list[tuple[int, int, int]] = []
     for part in range(m):
-        heapq.heappush(heap, (int(histograms[part][0]), part, 0))
+        heapq.heappush(heap, (rows[part][0], part, 0))
     units = budget + m  # number of +1 steps from the all -1 start
     for _ in range(units):
         cost, part, value = heapq.heappop(heap)
         thresholds[part] = value
         next_value = value + 1
-        if next_value < len(histograms[part]):
-            heapq.heappush(heap, (int(histograms[part][next_value]), part, next_value))
+        if next_value < len(rows[part]):
+            heapq.heappush(heap, (rows[part][next_value], part, next_value))
         else:
             # The partition is already fully open; further units are free.
             heapq.heappush(heap, (0, part, next_value))

@@ -30,6 +30,13 @@ class BinaryVectorDataset:
         self._partitioning = Partitioning(self._d, m)
         self._part_codes = self._partitioning.part_codes(self._vectors)
         self._packed = pack_words(self._vectors)
+        # Query encoding: bit j of the vector lands at bit ``j - start`` of
+        # its part's code, and the parts are summed in one reduceat.
+        starts = [start for start, _end in self._partitioning.boundaries]
+        self._part_starts = np.asarray(starts, dtype=np.int64)
+        self._bit_shifts = np.arange(self._d, dtype=np.int64) - np.repeat(
+            self._part_starts, self._partitioning.widths
+        )
 
     @property
     def vectors(self) -> np.ndarray:
@@ -61,11 +68,14 @@ class BinaryVectorDataset:
         return self._vectors.shape[0]
 
     def query_codes(self, query: np.ndarray) -> np.ndarray:
-        """Per-part integer codes of a query vector."""
-        matrix = np.asarray(query).reshape(1, -1)
-        if matrix.shape[1] != self._d:
-            raise ValueError(f"expected a {self._d}-dimensional query, got {matrix.shape[1]}")
-        return self._partitioning.part_codes(matrix)[0]
+        """Per-part integer codes of a query vector (``(m,)`` int64)."""
+        vector = np.asarray(query).reshape(-1)
+        if vector.shape[0] != self._d:
+            raise ValueError(f"expected a {self._d}-dimensional query, got {vector.shape[0]}")
+        if ((vector != 0) & (vector != 1)).any():
+            raise ValueError("binary vectors may only contain 0 and 1")
+        bits = vector.astype(np.int64)
+        return np.add.reduceat(bits << self._bit_shifts, self._part_starts)
 
     def distances_to(self, query: np.ndarray) -> np.ndarray:
         """Full Hamming distances from the query to every data vector."""

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.obs import span
 from repro.common.stats import SearchResult, Timer
-from repro.hamming.cost_model import allocate_thresholds, even_thresholds
+from repro.hamming.cost_model import even_thresholds, greedy_thresholds
 from repro.hamming.dataset import BinaryVectorDataset
 from repro.hamming.index import PartitionIndex
 
@@ -52,39 +53,49 @@ class GPHSearcher:
     def thresholds(self, query: np.ndarray, tau: int) -> list[int]:
         """The per-partition thresholds used for this query."""
         query_codes = self._dataset.query_codes(query)
+        return self._thresholds(self._index.query_distances(query_codes), tau)
+
+    def _thresholds(self, distances: np.ndarray, tau: int) -> list[int]:
         if self._use_cost_model:
-            return allocate_thresholds(self._index, query_codes, tau)
+            return greedy_thresholds(self._index.distance_histograms(distances), tau)
         return even_thresholds(tau, self._dataset.m)
 
-    def candidates(self, query: np.ndarray, tau: int) -> list[int]:
-        """First-step candidates: ids with at least one part within its threshold."""
+    def _first_step(
+        self, query: np.ndarray, tau: int
+    ) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """Query codes, thresholds, and the probed ids with their probing parts.
+
+        The code distances are computed once and feed both the cost-model
+        histograms and the probe (:meth:`PartitionIndex.probe_all`).
+        """
         query_codes = self._dataset.query_codes(query)
-        if self._use_cost_model:
-            thresholds = allocate_thresholds(self._index, query_codes, tau)
-        else:
-            thresholds = even_thresholds(tau, self._dataset.m)
-        seen: set[int] = set()
-        ordered: list[int] = []
-        for part in range(self._dataset.m):
-            ids, _distances = self._index.probe_arrays(
-                part, int(query_codes[part]), thresholds[part]
-            )
-            for obj_id in ids.tolist():
-                if obj_id not in seen:
-                    seen.add(obj_id)
-                    ordered.append(obj_id)
-        return ordered
+        distances = self._index.query_distances(query_codes)
+        thresholds = self._thresholds(distances, tau)
+        ids, parts = self._index.probe_all(distances, thresholds)
+        return query_codes, thresholds, ids, parts
+
+    def candidates(self, query: np.ndarray, tau: int) -> list[int]:
+        """First-step candidates: ids with at least one part within its threshold.
+
+        In probe order: by the first part that probes them, then by that
+        part's postings order.
+        """
+        _query_codes, _thresholds, probed, _parts = self._first_step(query, tau)
+        ids, first = np.unique(probed, return_index=True)
+        return ids[np.argsort(first)].tolist()
 
     def search(self, query: np.ndarray, tau: int) -> SearchResult:
         timer = Timer()
-        candidates = self.candidates(query, tau)
+        with span("candidates"):
+            candidates = self.candidates(query, tau)
         candidate_time = timer.restart()
-        if candidates:
-            ids = np.asarray(candidates, dtype=np.int64)
-            distances = self._dataset.distances_to_subset(query, ids)
-            results = ids[distances <= tau].tolist()
-        else:
-            results = []
+        with span("verify"):
+            if candidates:
+                ids = np.asarray(candidates, dtype=np.int64)
+                distances = self._dataset.distances_to_subset(query, ids)
+                results = ids[distances <= tau].tolist()
+            else:
+                results = []
         verify_time = timer.elapsed()
         return SearchResult(
             results=results,

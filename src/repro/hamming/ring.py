@@ -1,25 +1,34 @@
 """Pigeonring-accelerated Hamming distance search (Section 6.1).
 
 The Ring searcher keeps GPH's first step (per-partition index probes with the
-cost-model thresholds) unchanged, and adds the second step of Section 7: from
-every viable part the chains of lengths ``2 .. l`` starting at that part are
-checked incrementally under Theorem 7 (integer reduction), i.e. each prefix
-must satisfy ``||c_i^{l'}||_1 <= l' - 1 + sum t_j``.  Only objects passing the
-check are verified.  With ``chain_length=1`` the searcher is exactly GPH.
+cost-model thresholds) unchanged, and adds the second step of Section 7, the
+prefix-viable chain check under Theorem 7 (integer reduction).  An object is
+a candidate iff some start part ``p`` has every chain prefix passing: for
+``l' = 1 .. l``, ``||c_p^{l'}||_1 <= l' - 1 + sum t_j`` over the ``l'``
+parts from ``p`` (cyclically).  The ``l' = 1`` test is exactly the probe, so
+only probed objects are checked, and they are checked all at once: one
+``(U, m)`` matrix of box distances for the ``U`` probed ids, and one
+running-sum comparison per chain length across every start.
+
+The incremental formulation skips, after a chain from ``p`` fails at offset
+``o``, the starts ``p + s`` with ``s <= o`` (Corollary 2).  The skip never
+changes the outcome: the prefix of length ``s`` passed, so the boxes from
+``p + s`` to ``p + o`` exceed their bound, and the chain from ``p + s``
+fails at length ``o - s + 1``.  Candidates are emitted in the incremental
+order: by the first passing start part, then in that part's probe order
+(part code, then id).  With ``chain_length=1`` the searcher is exactly GPH.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.common.obs import span
-from repro.common.stats import SearchResult, Timer
-from repro.hamming.cost_model import allocate_thresholds, even_thresholds
 from repro.hamming.dataset import BinaryVectorDataset
+from repro.hamming.gph import GPHSearcher
 from repro.hamming.index import PartitionIndex
 
 
-class RingHammingSearcher:
+class RingHammingSearcher(GPHSearcher):
     """Pigeonring searcher for Hamming distance.
 
     Args:
@@ -39,113 +48,47 @@ class RingHammingSearcher:
     ):
         if chain_length < 1:
             raise ValueError("chain_length must be at least 1")
-        self._dataset = dataset
-        self._index = PartitionIndex(dataset) if index is None else index
-        if self._index.dataset is not dataset:
-            raise ValueError("the prebuilt index belongs to a different dataset")
+        super().__init__(dataset, use_cost_model=use_cost_model, index=index)
         self._chain_length = min(chain_length, dataset.m)
-        self._use_cost_model = use_cost_model
-
-    @property
-    def dataset(self) -> BinaryVectorDataset:
-        return self._dataset
 
     @property
     def chain_length(self) -> int:
         return self._chain_length
 
-    def thresholds(self, query: np.ndarray, tau: int) -> list[int]:
-        query_codes = self._dataset.query_codes(query)
-        if self._use_cost_model:
-            return allocate_thresholds(self._index, query_codes, tau)
-        return even_thresholds(tau, self._dataset.m)
-
     def candidates(self, query: np.ndarray, tau: int) -> list[int]:
         """Candidates surviving the prefix-viable chain check of length ``l``."""
+        query_codes, thresholds, probed, probed_parts = self._first_step(query, tau)
+        if not probed.size:
+            return []
         m = self._dataset.m
         length = self._chain_length
-        query_codes = self._dataset.query_codes(query)
-        if self._use_cost_model:
-            thresholds = allocate_thresholds(self._index, query_codes, tau)
-        else:
-            thresholds = even_thresholds(tau, m)
-        part_codes = self._dataset.part_codes
-        query_code_ints = [int(code) for code in query_codes]
+        hit = np.zeros(len(self._dataset), dtype=bool)
+        hit[probed] = True
+        ids = np.flatnonzero(hit)
+        # boxes[j, u]: box distance of object ids[u] on part j; the first
+        # l - 1 parts repeat below part m - 1, so every chain (cyclic, from
+        # any start) reads consecutive rows.
+        boxes = np.empty((m + length - 1, ids.size), dtype=np.int64)
+        xor = (self._dataset.part_codes[ids] ^ query_codes).T
+        np.bitwise_count(xor, out=boxes[:m], casting="unsafe")
+        boxes[m:] = boxes[: length - 1]
+        limits = np.asarray(thresholds + thresholds[: length - 1], dtype=np.int64)
+        # passing[p, u]: every chain prefix from start p checked so far holds,
+        # against the Theorem-7 bound (sum of the l' thresholds plus l' - 1).
+        running = boxes[:m].copy()
+        bound = limits[:m].copy()
+        passing = running <= bound[:, None]
+        for offset in range(1, length):
+            running += boxes[offset : offset + m]
+            bound += limits[offset : offset + m] + 1
+            passing &= running <= bound[:, None]
 
-        # Cumulative chain thresholds with the Theorem-7 slack, precomputed per
-        # starting part so the inner loop is pure integer comparisons.
-        chain_bounds = [
-            [
-                sum(thresholds[(start + offset) % m] for offset in range(plen)) + plen - 1
-                for plen in range(1, length + 1)
-            ]
-            for start in range(m)
-        ]
-
-        emitted: set[int] = set()
-        ordered: list[int] = []
-        # skip_state[obj_id] holds starts ruled out by the Corollary-2 skip.
-        skip_state: dict[int, set[int]] = {}
-        box_cache: dict[int, dict[int, int]] = {}
-
-        for part in range(m):
-            threshold = thresholds[part]
-            if threshold < 0:
-                continue
-            probe_ids, probe_distances = self._index.probe_arrays(
-                part, query_code_ints[part], threshold
-            )
-            for obj_id, part_distance in zip(
-                probe_ids.tolist(), probe_distances.tolist()
-            ):
-                if obj_id in emitted:
-                    continue
-                skips = skip_state.get(obj_id)
-                if skips is not None and part in skips:
-                    continue
-                cache = box_cache.setdefault(obj_id, {})
-                cache[part] = part_distance
-                bounds = chain_bounds[part]
-                running = 0
-                passed = True
-                for offset in range(length):
-                    box_index = (part + offset) % m
-                    value = cache.get(box_index)
-                    if value is None:
-                        value = int(
-                            (int(part_codes[obj_id, box_index]) ^ query_code_ints[box_index]).bit_count()
-                        )
-                        cache[box_index] = value
-                    running += value
-                    if running > bounds[offset]:
-                        if skips is None:
-                            skips = set()
-                            skip_state[obj_id] = skips
-                        for skipped in range(offset + 1):
-                            skips.add((part + skipped) % m)
-                        passed = False
-                        break
-                if passed:
-                    emitted.add(obj_id)
-                    ordered.append(obj_id)
-        return ordered
-
-    def search(self, query: np.ndarray, tau: int) -> SearchResult:
-        timer = Timer()
-        with span("candidates"):
-            candidates = self.candidates(query, tau)
-        candidate_time = timer.restart()
-        with span("verify"):
-            if candidates:
-                ids = np.asarray(candidates, dtype=np.int64)
-                distances = self._dataset.distances_to_subset(query, ids)
-                results = ids[distances <= tau].tolist()
-            else:
-                results = []
-        verify_time = timer.elapsed()
-        return SearchResult(
-            results=results,
-            candidates=candidates,
-            candidate_time=candidate_time,
-            verify_time=verify_time,
-        )
+        # Emit each object at its first passing start, in that part's probe
+        # order: exactly the probe's (id, part) pairs where the part is the
+        # object's first passing start.
+        first_start = np.full(ids.size, -1, dtype=np.int64)
+        for start in range(m - 1, -1, -1):
+            np.copyto(first_start, start, where=passing[start])
+        first = np.full(len(self._dataset), -1, dtype=np.int64)
+        first[ids] = first_start
+        return probed[first[probed] == probed_parts].tolist()

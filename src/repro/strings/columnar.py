@@ -199,10 +199,11 @@ class ColumnarStringSearcher(RingStringSearcher):
         extractor = self._dataset.extractor
         obj_parts: list[np.ndarray] = []
         box_parts: list[np.ndarray] = []
-        # Case 1: a data pivotal gram matches a query prefix gram and the
-        # data prefix ends no later than the query prefix.
+        # Case 1: a data pivotal gram matches a query gram ranked no later
+        # than the query prefix's last gram, and the data prefix ends no
+        # later than the query prefix.
         if self._piv_keys.size:
-            for gram in plan.prefix:
+            for gram in plan.case1_grams:
                 rows = self._lookup(self._piv_keys, self._piv_offsets, extractor.rank(gram.gram))
                 if rows is None:
                     continue

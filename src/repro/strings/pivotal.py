@@ -59,6 +59,11 @@ class _QueryPlan:
     prefix: list[PositionalGram]
     pivotal: list[PositionalGram] | None
     last_prefix_rank: int
+    #: Query grams Case 1 probes: every gram ranked no later than the
+    #: prefix's last gram.  That is the prefix plus any copies of its last
+    #: gram that the position tie-break cut off; a data pivotal gram may
+    #: only match such a copy inside its position window.
+    case1_grams: list[PositionalGram]
     fallback: bool = False
 
 
@@ -127,10 +132,16 @@ class PivotalIndexBase:
         prefix = extractor.prefix(query, self._tau)
         pivotal = extractor.pivotal(prefix, self._tau) if prefix else None
         fallback = not prefix or pivotal is None
+        last_prefix_rank = extractor.last_prefix_rank(prefix)
         return _QueryPlan(
             prefix=prefix,
             pivotal=pivotal,
-            last_prefix_rank=extractor.last_prefix_rank(prefix),
+            last_prefix_rank=last_prefix_rank,
+            case1_grams=[
+                gram
+                for gram in extractor.sorted_grams(query)
+                if extractor.rank(gram.gram) <= last_prefix_rank
+            ],
             fallback=fallback,
         )
 
@@ -157,9 +168,10 @@ class PivotalIndexBase:
                     unconditional.append(obj_id)
             return matches, sorted(set(unconditional))
 
-        # Case 1: a data pivotal gram matches a query prefix gram and the data
-        # prefix ends no later than the query prefix.
-        for gram in plan.prefix:
+        # Case 1: a data pivotal gram matches a query gram ranked no later
+        # than the query prefix's last gram, and the data prefix ends no
+        # later than the query prefix.
+        for gram in plan.case1_grams:
             for obj_id, position, pivotal_index in self._pivotal_index.get(gram.gram, ()):
                 if abs(position - gram.position) > tau:
                     continue

@@ -5,8 +5,10 @@ The columnar searchers (served as algorithm ``ring``) must return exactly
 the ids and scores the retained scalar pigeonring searchers (algorithm
 ``ring-scalar``) return, on randomised datasets across all four domains --
 the scalar implementations are the reference oracles of the vectorised
-kernels.  Hamming has no separate scalar retained (its ring path was always
-vectorised), so it is checked against ``linear`` instead.
+kernels.  Hamming serves no ``ring-scalar`` algorithm: its array chain
+check is compared with the incremental per-object check, kept as a test
+oracle in ``tests/hamming/test_searchers.py``, and its served answers are
+checked against ``linear`` here.
 """
 
 from __future__ import annotations

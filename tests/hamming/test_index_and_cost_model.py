@@ -1,5 +1,7 @@
 """Tests for the partition index and the GPH threshold cost model."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,24 @@ class TestDataset:
         with pytest.raises(ValueError):
             dataset.query_codes(np.zeros(16, dtype=np.uint8))
 
+    def test_query_codes_reject_non_binary_values(self):
+        dataset, _ = small_dataset()
+        for value in (2, -1, 0.5):
+            with pytest.raises(ValueError):
+                dataset.query_codes(np.full(32, value))
+
+    @pytest.mark.parametrize("d, m", [(32, 4), (35, 4), (10, 3), (7, 7)])
+    def test_query_codes_match_partition_codes(self, d, m):
+        rng = np.random.default_rng(d)
+        vectors = rng.integers(0, 2, size=(6, d), dtype=np.uint8)
+        dataset = BinaryVectorDataset(vectors, num_parts=m)
+        for vector in vectors:
+            for query in (vector, vector.astype(bool), vector.astype(float)):
+                codes = dataset.query_codes(query)
+                assert codes.dtype == np.int64
+                expected = dataset.partitioning.part_codes(vector.reshape(1, -1))[0]
+                np.testing.assert_array_equal(codes, expected)
+
 
 class TestPartitionIndex:
     def test_postings_cover_all_objects(self):
@@ -70,7 +90,8 @@ class TestPartitionIndex:
         query = rng.integers(0, 2, size=32, dtype=np.uint8)
         query_codes = dataset.query_codes(query)
         part, threshold = 1, 2
-        probed = {obj for obj, _ in index.probe(part, int(query_codes[part]), threshold)}
+        ids, _distances = index.probe_arrays(part, int(query_codes[part]), threshold)
+        assert len(set(ids.tolist())) == len(ids)
         # Reference: recompute the per-part distance directly.
         start, end = dataset.partitioning.boundaries[part]
         expected = {
@@ -78,7 +99,7 @@ class TestPartitionIndex:
             for i, vector in enumerate(dataset.vectors)
             if hamming_distance(vector[start:end], query[start:end]) <= threshold
         }
-        assert probed == expected
+        assert set(ids.tolist()) == expected
 
     def test_probe_reports_correct_distances(self):
         dataset, rng = small_dataset()
@@ -86,7 +107,9 @@ class TestPartitionIndex:
         query = rng.integers(0, 2, size=32, dtype=np.uint8)
         query_codes = dataset.query_codes(query)
         start, end = dataset.partitioning.boundaries[0]
-        for obj, distance in index.probe(0, int(query_codes[0]), 3):
+        ids, distances = index.probe_arrays(0, int(query_codes[0]), 3)
+        assert len(ids) > 0
+        for obj, distance in zip(ids.tolist(), distances.tolist()):
             expected = hamming_distance(dataset.vectors[obj][start:end], query[start:end])
             assert distance == expected
 
@@ -95,22 +118,55 @@ class TestPartitionIndex:
         index = PartitionIndex(dataset)
         query = rng.integers(0, 2, size=32, dtype=np.uint8)
         query_codes = dataset.query_codes(query)
-        assert list(index.probe(0, int(query_codes[0]), -1)) == []
+        ids, distances = index.probe_arrays(0, int(query_codes[0]), -1)
+        assert ids.size == 0 and distances.size == 0
 
-    def test_probe_arrays_matches_iterator_shim(self):
+    def test_probe_arrays_matches_postings(self):
         dataset, rng = small_dataset()
         index = PartitionIndex(dataset)
         query = rng.integers(0, 2, size=32, dtype=np.uint8)
         query_codes = dataset.query_codes(query)
         for part in range(dataset.m):
+            distances = index.code_distances(part, int(query_codes[part]))
             for threshold in (-1, 0, 2, 8):
-                ids, distances = index.probe_arrays(
-                    part, int(query_codes[part]), threshold
-                )
-                assert ids.dtype == np.int64 and distances.dtype == np.int64
-                assert len(ids) == len(distances)
-                pairs = list(index.probe(part, int(query_codes[part]), threshold))
-                assert pairs == list(zip(ids.tolist(), distances.tolist()))
+                ids, probed = index.probe_arrays(part, int(query_codes[part]), threshold)
+                assert ids.dtype == np.int64 and probed.dtype == np.int64
+                assert len(ids) == len(probed)
+                # Reference: the viable codes' postings, in code order.
+                pairs = [
+                    (obj, int(distances[pos]))
+                    for pos in range(len(index.distinct_codes(part)))
+                    if distances[pos] <= threshold
+                    for obj in index.postings(part, pos).tolist()
+                ]
+                assert pairs == list(zip(ids.tolist(), probed.tolist()))
+
+    def test_probe_all_concatenates_part_probes(self):
+        dataset, rng = small_dataset()
+        index = PartitionIndex(dataset)
+        query = rng.integers(0, 2, size=32, dtype=np.uint8)
+        query_codes = dataset.query_codes(query)
+        distances = index.query_distances(query_codes)
+        for thresholds in ([-1, 0, 2, 8], [3, -1, -1, 1], [8, 8, 8, 8], [-1] * 4):
+            probes = [
+                index.probe_arrays(part, int(query_codes[part]), threshold)[0]
+                for part, threshold in enumerate(thresholds)
+            ]
+            ids, parts = index.probe_all(distances, thresholds)
+            np.testing.assert_array_equal(ids, np.concatenate(probes))
+            np.testing.assert_array_equal(
+                parts, np.repeat(np.arange(dataset.m), [len(p) for p in probes])
+            )
+
+    def test_query_distances_cover_every_part(self):
+        dataset, rng = small_dataset()
+        index = PartitionIndex(dataset)
+        query = rng.integers(0, 2, size=32, dtype=np.uint8)
+        query_codes = dataset.query_codes(query)
+        expected = np.concatenate(
+            [index.code_distances(part, int(query_codes[part])) for part in range(dataset.m)]
+        )
+        np.testing.assert_array_equal(index.query_distances(query_codes), expected)
 
     def test_state_round_trip(self):
         dataset, rng = small_dataset()
@@ -126,16 +182,29 @@ class TestPartitionIndex:
             b = restored.probe_arrays(part, int(query_codes[part]), 3)
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
+        for key, value in index.state().items():
+            np.testing.assert_array_equal(restored.state()[key], value)
 
     def test_distance_histogram_sums_to_dataset_size(self):
-        dataset, rng = small_dataset()
+        # Uneven widths (35 dimensions over 4 parts: 9, 9, 9, 8) pad the
+        # narrower part's row with zeros.
+        rng = np.random.default_rng(2)
+        vectors = rng.integers(0, 2, size=(60, 35), dtype=np.uint8)
+        dataset = BinaryVectorDataset(vectors, num_parts=4)
         index = PartitionIndex(dataset)
-        query = rng.integers(0, 2, size=32, dtype=np.uint8)
-        query_codes = dataset.query_codes(query)
-        for part in range(dataset.m):
-            histogram = index.distance_histogram(part, int(query_codes[part]))
-            assert histogram.sum() == len(dataset)
-            assert len(histogram) == dataset.partitioning.widths[part] + 1
+        query = rng.integers(0, 2, size=35, dtype=np.uint8)
+        histograms = index.distance_histograms(
+            index.query_distances(dataset.query_codes(query))
+        )
+        assert histograms.dtype == np.int64
+        assert histograms.shape == (dataset.m, max(dataset.partitioning.widths) + 1)
+        for part, (start, end) in enumerate(dataset.partitioning.boundaries):
+            assert histograms[part].sum() == len(dataset)
+            expected = np.bincount(
+                [hamming_distance(v[start:end], query[start:end]) for v in vectors],
+                minlength=histograms.shape[1],
+            )
+            np.testing.assert_array_equal(histograms[part], expected)
 
 
 class TestThresholdAllocation:
@@ -171,6 +240,36 @@ class TestThresholdAllocation:
         query = np.zeros(32, dtype=np.uint8)
         thresholds = allocate_thresholds(index, dataset.query_codes(query), tau=9)
         assert thresholds[0] == min(thresholds)
+
+    def test_cost_model_matches_per_part_histograms(self):
+        # Reference: the greedy allocation over unpadded per-part histograms
+        # (width + 1 entries each), computed from brute-force part distances.
+        rng = np.random.default_rng(9)
+        vectors = rng.integers(0, 2, size=(80, 35), dtype=np.uint8)
+        vectors[:40, :9] = 0  # a skewed first part
+        dataset = BinaryVectorDataset(vectors, num_parts=4)
+        index = PartitionIndex(dataset)
+        for trial in range(5):
+            query = rng.integers(0, 2, size=35, dtype=np.uint8)
+            histograms = [
+                np.bincount(
+                    [hamming_distance(v[start:end], query[start:end]) for v in vectors],
+                    minlength=end - start + 1,
+                ).tolist()
+                for start, end in dataset.partitioning.boundaries
+            ]
+            for tau in (0, 2, 5, 9, 20, 35, 60):
+                expected = [-1] * dataset.m
+                heap = [(histograms[part][0], part, 0) for part in range(dataset.m)]
+                heapq.heapify(heap)
+                for _ in range(max(tau + 1, 0)):
+                    _cost, part, value = heapq.heappop(heap)
+                    expected[part] = value
+                    nxt = value + 1
+                    cost = histograms[part][nxt] if nxt < len(histograms[part]) else 0
+                    heapq.heappush(heap, (cost, part, nxt))
+                query_codes = dataset.query_codes(query)
+                assert allocate_thresholds(index, query_codes, tau) == expected
 
     def test_invalid_even_thresholds(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.datasets.text import name_workload, title_workload
+from repro.strings.columnar import ColumnarStringSearcher
 from repro.strings.dataset import StringDataset
 from repro.strings.linear import LinearStringSearcher
 from repro.strings.pivotal import PivotalSearcher
+from repro.strings.qgrams import PositionalGram
 from repro.strings.ring import RingStringSearcher
 
 
@@ -67,6 +69,23 @@ class TestExactness:
                 expected = ground_truth(dataset, query, tau)
                 assert sorted(ring.search(query).results) == expected
                 assert sorted(pivotal.search(query).results) == expected
+
+    @pytest.mark.parametrize(
+        "searcher_cls", (PivotalSearcher, RingStringSearcher, ColumnarStringSearcher)
+    )
+    def test_case1_probes_grams_tied_with_the_prefix_end(self, searcher_cls):
+        # Both prefixes end on gram "ma" (the query's duplicate ("ma", 5) is
+        # cut off by the position tie-break), so Case 1 applies and the data
+        # pivotal ("ma", 5) can only match that cut-off copy.
+        records = ["liel mae", "lima mae", "el", "el", "el", "li", "li"]
+        dataset = StringDataset(records, kappa=2)
+        query = "lima mae"
+        expected = ground_truth(dataset, query, 2)
+        assert expected == [0, 1]
+        assert sorted(searcher_cls(dataset, 2).search(query).results) == expected
+        plan = PivotalSearcher(dataset, 2).query_plan(query)
+        assert PositionalGram("ma", 5) not in plan.prefix
+        assert PositionalGram("ma", 5) in plan.case1_grams
 
 
 class TestCandidateContainment:
